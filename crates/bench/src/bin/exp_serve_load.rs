@@ -13,7 +13,9 @@
 //! Modes:
 //!
 //! - default — send `--requests` solves from `--clients` connections,
-//!   assert every response is 200, and (with `--expect cold|warm`)
+//!   time each one on the client (req/s, p50 and p99 are printed with the
+//!   sample count and recorded as `client_p50`/`client_p99` sidecar
+//!   phases), assert every response is 200, and (with `--expect cold|warm`)
 //!   assert the cache-warmth contract: a cold run misses exactly once
 //!   per distinct canonical class, a warm run is solve-free (every
 //!   response `"cache": "hit"`, zero `cache.misses` delta, zero
@@ -306,6 +308,8 @@ struct Sample {
     class: usize,
     status: u16,
     cache: String,
+    /// Client-side round trip: request write to full response read.
+    latency: Duration,
 }
 
 fn run_load(options: &Options) -> Result<(), String> {
@@ -332,8 +336,10 @@ fn run_load(options: &Options) -> Result<(), String> {
                     }
                 };
                 for request in planned.iter().skip(worker).step_by(options.clients) {
+                    let sent = Instant::now();
                     match client.solve(&request.body) {
                         Ok(response) => {
+                            let latency = sent.elapsed();
                             let cache = cache_field(&response);
                             samples
                                 .lock()
@@ -342,6 +348,7 @@ fn run_load(options: &Options) -> Result<(), String> {
                                     class: request.class,
                                     status: response.status,
                                     cache,
+                                    latency,
                                 });
                         }
                         Err(e) => errors
@@ -380,7 +387,8 @@ fn run_load(options: &Options) -> Result<(), String> {
     }
     let after = fetch_metrics(options.addr)?;
     check_warmth(options, &samples, distinct, &before, &after)?;
-    write_sidecar(&after, distinct, elapsed)?;
+    let latency = ClientLatency::of(&samples, elapsed);
+    write_sidecar(&after, distinct, elapsed, &latency)?;
     let hits = samples.iter().filter(|s| s.cache == "hit").count();
     let misses = samples.iter().filter(|s| s.cache == "miss").count();
     let coalesced = samples.iter().filter(|s| s.cache == "coalesced").count();
@@ -394,7 +402,42 @@ fn run_load(options: &Options) -> Result<(), String> {
         coalesced,
         distinct
     );
+    println!(
+        "serve-load: client-side over {} samples — {:.1} req/s, p50 {:.3} ms, p99 {:.3} ms",
+        latency.samples,
+        latency.req_per_s,
+        latency.p50.as_secs_f64() * 1e3,
+        latency.p99.as_secs_f64() * 1e3
+    );
     Ok(())
+}
+
+/// Client-side throughput and round-trip percentiles of one load run.
+struct ClientLatency {
+    samples: usize,
+    req_per_s: f64,
+    p50: Duration,
+    p99: Duration,
+}
+
+impl ClientLatency {
+    /// Summarizes `samples` (non-empty) answered over `elapsed`.
+    fn of(samples: &[Sample], elapsed: Duration) -> ClientLatency {
+        let mut sorted: Vec<Duration> = samples.iter().map(|s| s.latency).collect();
+        sorted.sort_unstable();
+        ClientLatency {
+            samples: sorted.len(),
+            req_per_s: sorted.len() as f64 / elapsed.as_secs_f64(),
+            p50: percentile(&sorted, 50),
+            p99: percentile(&sorted, 99),
+        }
+    }
+}
+
+/// Nearest-rank `pct`-th percentile of the ascending, non-empty `sorted`.
+fn percentile(sorted: &[Duration], pct: usize) -> Duration {
+    let rank = (sorted.len() * pct).div_ceil(100).max(1);
+    sorted[rank - 1]
 }
 
 fn cache_field(response: &Response) -> String {
@@ -471,11 +514,19 @@ fn snapshot_counter(metrics: &JsonValue, name: &str) -> u64 {
 }
 
 /// Writes `BENCH_serve.json`: judged counters from the server's
-/// stored-delta view (warmth/jobs/order-invariant), live `srv.*` and
-/// `cache.*` state into the run-variant section.
-fn write_sidecar(metrics: &JsonValue, distinct: usize, elapsed: Duration) -> Result<(), String> {
+/// stored-delta view (warmth/jobs/order-invariant), the client-side
+/// percentiles as timing phases beside the `load` wall time, and live
+/// `srv.*` and `cache.*` state into the run-variant section.
+fn write_sidecar(
+    metrics: &JsonValue,
+    distinct: usize,
+    elapsed: Duration,
+    latency: &ClientLatency,
+) -> Result<(), String> {
     let mut report = RunReport::new("serve");
     report.phase("load", elapsed);
+    report.phase("client_p50", latency.p50);
+    report.phase("client_p99", latency.p99);
     let judged = metrics
         .get("judged")
         .and_then(JsonValue::as_object)

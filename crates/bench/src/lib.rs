@@ -195,8 +195,9 @@ fn spawn_heartbeat() -> HeartbeatHandle {
     HeartbeatHandle { stop, thread }
 }
 
-/// Serializes unit tests that mutate the process-global shard/telemetry
-/// state (the statics in [`shard`] and `defender_obs::telemetry`).
+/// Serializes unit tests that mutate process-global state: the shard and
+/// telemetry statics (in [`shard`] and `defender_obs::telemetry`) and the
+/// profiling gate with the trace recorder (`--profile`).
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -289,6 +290,7 @@ mod tests {
 
     #[test]
     fn profile_flag_starts_tracing_and_sets_the_gate() {
+        let _guard = test_lock();
         let mut observed = (false, false);
         experiment_main_with(&args(&["--profile"]), || {
             observed = (profiling_enabled(), defender_obs::trace::enabled());

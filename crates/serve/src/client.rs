@@ -26,6 +26,20 @@ impl Response {
     }
 }
 
+/// One request message — request line, headers and body — as the
+/// bytes of a single write. A head written apart from its body would let
+/// Nagle's algorithm hold the body until the server's delayed ACK.
+fn request_bytes(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
+    let mut head = format!("{method} {path} HTTP/1.1\r\nhost: defender\r\n");
+    if !body.is_empty() || method == "POST" {
+        head.push_str(&format!("content-length: {}\r\n", body.len()));
+    }
+    head.push_str("\r\n");
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(body);
+    wire
+}
+
 /// A persistent connection to one server.
 #[derive(Debug)]
 pub struct Client {
@@ -34,13 +48,16 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects with a bounded timeout.
+    /// Connects with a bounded timeout and Nagle's algorithm off: each
+    /// request goes out in one write, and nothing should hold it back
+    /// waiting for the server's delayed ACK.
     ///
     /// # Errors
     ///
     /// Connection failures.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         Ok(Client {
@@ -56,13 +73,7 @@ impl Client {
     ///
     /// I/O failures and unframeable responses ([`io::ErrorKind::InvalidData`]).
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nhost: defender\r\n");
-        if !body.is_empty() || method == "POST" {
-            head.push_str(&format!("content-length: {}\r\n", body.len()));
-        }
-        head.push_str("\r\n");
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
+        self.stream.write_all(&request_bytes(method, path, body))?;
         self.stream.flush()?;
         self.read_response()
     }
@@ -134,5 +145,46 @@ impl Client {
             keep_alive,
             body,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::request_bytes;
+
+    #[test]
+    fn request_framing_is_pinned() {
+        for (method, path, body, want) in [
+            (
+                "POST",
+                "/v1/solve",
+                &b"{\"k\": 1}"[..],
+                &b"POST /v1/solve HTTP/1.1\r\nhost: defender\r\ncontent-length: 8\r\n\r\n{\"k\": 1}"[..],
+            ),
+            (
+                "POST",
+                "/v1/shutdown",
+                b"",
+                b"POST /v1/shutdown HTTP/1.1\r\nhost: defender\r\ncontent-length: 0\r\n\r\n",
+            ),
+            (
+                "GET",
+                "/v1/metrics",
+                b"",
+                b"GET /v1/metrics HTTP/1.1\r\nhost: defender\r\n\r\n",
+            ),
+            (
+                "PUT",
+                "/x",
+                b"ab",
+                b"PUT /x HTTP/1.1\r\nhost: defender\r\ncontent-length: 2\r\n\r\nab",
+            ),
+        ] {
+            assert_eq!(
+                String::from_utf8_lossy(&request_bytes(method, path, body)),
+                String::from_utf8_lossy(want),
+                "{method} {path}"
+            );
+        }
     }
 }

@@ -299,8 +299,63 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one `application/json` response. `retry_after` becomes a
-/// `Retry-After: <seconds>` header (admission control's backoff hint).
+/// Per-connection response writer. Each response — status line,
+/// headers and body — is framed into one buffer and sent with a single
+/// `write_all`, and the buffer is reused across the keep-alive responses
+/// of the connection. One write per message matters on TCP: a head sent
+/// apart from its body leaves a small unacknowledged segment in flight,
+/// Nagle's algorithm then holds the body until the peer's delayed ACK
+/// (~40 ms), and every keep-alive round trip pays that stall.
+#[derive(Debug, Default)]
+pub struct ResponseWriter {
+    buf: Vec<u8>,
+}
+
+impl ResponseWriter {
+    /// Writes one `application/json` response. `retry_after` becomes a
+    /// `Retry-After: <seconds>` header (admission control's backoff hint).
+    ///
+    /// # Errors
+    ///
+    /// Write failures from `stream` (a peer gone mid-response).
+    pub fn write(
+        &mut self,
+        stream: &mut impl Write,
+        status: u16,
+        body: &[u8],
+        keep_alive: bool,
+        retry_after: Option<u64>,
+    ) -> io::Result<()> {
+        let buf = &mut self.buf;
+        buf.clear();
+        // Room for any head this writer frames (at most 172 bytes), so a
+        // fresh buffer allocates once rather than growing header by header.
+        buf.reserve(192 + body.len());
+        write!(
+            buf,
+            "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
+            reason(status),
+            body.len()
+        )?;
+        if let Some(secs) = retry_after {
+            write!(buf, "retry-after: {secs}\r\n")?;
+        }
+        if !keep_alive {
+            buf.extend_from_slice(b"connection: close\r\n");
+        }
+        buf.extend_from_slice(b"\r\n");
+        buf.extend_from_slice(body);
+        stream.write_all(buf)?;
+        stream.flush()
+    }
+}
+
+/// Writes one response through a fresh [`ResponseWriter`]; for a one-off
+/// reply on a connection that carries no other.
+///
+/// # Errors
+///
+/// Write failures from `stream`.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -308,21 +363,7 @@ pub fn write_response(
     keep_alive: bool,
     retry_after: Option<u64>,
 ) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
-        reason(status),
-        body.len()
-    );
-    if let Some(secs) = retry_after {
-        head.push_str(&format!("retry-after: {secs}\r\n"));
-    }
-    if !keep_alive {
-        head.push_str("connection: close\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    ResponseWriter::default().write(stream, status, body, keep_alive, retry_after)
 }
 
 #[cfg(test)]
@@ -477,15 +518,93 @@ mod tests {
         }
     }
 
+    /// A writer that records every `write` call separately, so a test
+    /// can tell one message in one write from the same bytes in two.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_is_one_write_with_exact_framing() {
+        const STATUSES: [(u16, &str); 15] = [
+            (200, "OK"),
+            (400, "Bad Request"),
+            (404, "Not Found"),
+            (405, "Method Not Allowed"),
+            (408, "Request Timeout"),
+            (411, "Length Required"),
+            (413, "Payload Too Large"),
+            (422, "Unprocessable Entity"),
+            (429, "Too Many Requests"),
+            (431, "Request Header Fields Too Large"),
+            (500, "Internal Server Error"),
+            (501, "Not Implemented"),
+            (503, "Service Unavailable"),
+            (505, "HTTP Version Not Supported"),
+            (599, "Internal Server Error"),
+        ];
+        // One writer for every case: a reused buffer must carry nothing
+        // over from a longer earlier response.
+        let mut writer = ResponseWriter::default();
+        for (status, reason) in STATUSES {
+            for retry_after in [None, Some(1), Some(30)] {
+                for keep_alive in [true, false] {
+                    for body in [&b""[..], b"{\"status\": \"ok\"}"] {
+                        let mut out = CountingWriter::default();
+                        writer
+                            .write(&mut out, status, body, keep_alive, retry_after)
+                            .unwrap();
+                        let mut want = format!(
+                            "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
+                            body.len()
+                        );
+                        if let Some(secs) = retry_after {
+                            want.push_str(&format!("retry-after: {secs}\r\n"));
+                        }
+                        if !keep_alive {
+                            want.push_str("connection: close\r\n");
+                        }
+                        want.push_str("\r\n");
+                        let mut want = want.into_bytes();
+                        want.extend_from_slice(body);
+                        let case = format!("{status} {retry_after:?} keep_alive={keep_alive}");
+                        assert_eq!(out.writes.len(), 1, "one write per response: {case}");
+                        assert_eq!(
+                            String::from_utf8_lossy(&out.writes[0]),
+                            String::from_utf8_lossy(&want),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn response_writer_frames_and_hints_backoff() {
-        let mut out = Vec::new();
+        let mut out = CountingWriter::default();
         write_response(&mut out, 429, b"{\"error\":{}}", false, Some(2)).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
-        assert!(text.contains("retry-after: 2\r\n"));
-        assert!(text.contains("connection: close\r\n"));
-        assert!(text.contains("content-length: 12\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"error\":{}}"));
+        let want = concat!(
+            "HTTP/1.1 429 Too Many Requests\r\n",
+            "content-type: application/json\r\n",
+            "content-length: 12\r\n",
+            "retry-after: 2\r\n",
+            "connection: close\r\n",
+            "\r\n",
+            "{\"error\":{}}"
+        );
+        assert_eq!(out.writes, vec![want.as_bytes().to_vec()]);
     }
 }

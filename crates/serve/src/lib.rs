@@ -55,7 +55,7 @@ use defender_obs as obs;
 use defender_obs::json::JsonObject;
 
 use crate::api::{parse_solve_request, render_error, render_solve_response, SolveOutcome};
-use crate::http::{HttpError, ReadOutcome, RequestReader};
+use crate::http::{HttpError, ReadOutcome, RequestReader, ResponseWriter};
 use crate::solver::{request_game, Solver, SolverConfig, TUPLE_LIMIT};
 
 /// Server tunables; every knob has a CLI flag.
@@ -244,6 +244,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.stop.load(Ordering::Acquire) {
             return;
         }
+        // Every reply is one write (see `ResponseWriter`); with Nagle off
+        // it leaves at once instead of waiting on the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let active = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
         obs::gauge!("srv.connections").set(active as u64);
         if active > shared.config.max_connections {
@@ -302,6 +305,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // Idle/stalled peers release the thread after the deadline + slack.
     let _ = stream.set_read_timeout(Some(shared.config.deadline + Duration::from_secs(5)));
     let mut reader = RequestReader::new(shared.config.max_body);
+    let mut writer = ResponseWriter::default();
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return;
@@ -310,8 +314,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             ReadOutcome::Closed => return,
             ReadOutcome::Error(err) => {
                 obs::counter!("srv.errors").incr();
-                let _ =
-                    http::write_response(&mut stream, err.status, &render_error(&err), false, None);
+                let _ = writer.write(&mut stream, err.status, &render_error(&err), false, None);
                 return;
             }
             ReadOutcome::Request(request) => {
@@ -325,7 +328,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 if status >= 400 {
                     obs::counter!("srv.errors").incr();
                 }
-                if http::write_response(&mut stream, status, &body, keep_alive, retry_after)
+                if writer
+                    .write(&mut stream, status, &body, keep_alive, retry_after)
                     .is_err()
                 {
                     return; // peer went away mid-response

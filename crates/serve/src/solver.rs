@@ -458,8 +458,19 @@ mod tests {
     use super::*;
     use defender_graph::generators;
 
+    /// Serializes the tests of this module: they solve, and two of them
+    /// read deltas of the process-global `cache.misses` and
+    /// `lp.simplex.pivots` counters, which a sibling's solve on another
+    /// test thread would move.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn coalesces_concurrent_identical_classes_into_one_solve() {
+        let _serial = serial();
         obs::enable();
         let cache = Arc::new(EquilibriumCache::in_memory());
         let solver = Solver::start(
@@ -504,6 +515,7 @@ mod tests {
 
     #[test]
     fn sheds_new_classes_past_the_watermark_while_serving_hits() {
+        let _serial = serial();
         obs::enable();
         let cache = Arc::new(EquilibriumCache::in_memory());
         // Warm one class first.
@@ -566,6 +578,7 @@ mod tests {
 
     #[test]
     fn judged_counters_are_warmth_invariant_per_served_class_set() {
+        let _serial = serial();
         obs::enable();
         let cache = Arc::new(EquilibriumCache::in_memory());
         let graphs = [generators::cycle(5), generators::petersen()];
@@ -600,6 +613,7 @@ mod tests {
 
     #[test]
     fn solve_errors_propagate_to_every_waiter() {
+        let _serial = serial();
         obs::enable();
         let cache = Arc::new(EquilibriumCache::in_memory());
         let solver = Solver::start(Arc::clone(&cache), SolverConfig::default());

@@ -5,7 +5,8 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use defender_obs::json::{self, JsonValue};
 use defender_serve::client::Client;
@@ -14,6 +15,14 @@ use defender_serve::{ServeConfig, Server};
 fn c5_body() -> String {
     let g6 = defender_graph::graph6::to_graph6(&defender_graph::generators::cycle(5));
     format!(r#"{{"graph6": "{g6}", "k": 1, "nu": 1}}"#)
+}
+
+/// Serializes the tests of this file. Each one solves on a server of its
+/// own, but the obs counters are process-global, and the coalescing test
+/// reads a `cache.misses` delta that a sibling's solve would move.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn test_server(config: ServeConfig) -> Server {
@@ -52,6 +61,7 @@ fn petersen_body() -> String {
 
 #[test]
 fn solves_over_the_wire_and_reports_cache_status() {
+    let _serial = serial();
     let server = test_server(ServeConfig::default());
     let mut client = connect(&server);
 
@@ -93,8 +103,45 @@ fn solves_over_the_wire_and_reports_cache_status() {
     assert_eq!(str_of(&doc, "value"), "2/5");
 }
 
+/// An absolute floor, not a benchmark: a warm hit on loopback takes well
+/// under a millisecond, while a head and body sent in separate writes
+/// without `TCP_NODELAY` stall ~40 ms per round trip on Nagle's algorithm
+/// and the peer's delayed ACK. 10 ms trips on that stall, not on a slow
+/// machine.
+#[test]
+fn keep_alive_hits_do_not_stall_on_the_wire() {
+    let _serial = serial();
+    const ROUND_TRIPS: usize = 200;
+    let server = test_server(ServeConfig::default());
+    let mut client = connect(&server);
+    let warm = client.solve(&c5_body()).expect("warm-up solve");
+    assert_eq!(warm.status, 200, "{}", warm.text());
+
+    let mut round_trips = Vec::with_capacity(ROUND_TRIPS);
+    for i in 0..ROUND_TRIPS {
+        let t0 = Instant::now();
+        let response = client.solve(&c5_body()).expect("keep-alive solve");
+        round_trips.push(t0.elapsed());
+        assert_eq!(response.status, 200, "{}", response.text());
+        assert_eq!(
+            str_of(&parse(&response.body), "cache"),
+            "hit",
+            "request {i}"
+        );
+    }
+    round_trips.sort_unstable();
+    let median = round_trips[ROUND_TRIPS / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median keep-alive hit round trip {median:?} over {ROUND_TRIPS} samples \
+         (p90 {:?}); a ~40 ms median is the Nagle/delayed-ACK stall",
+        round_trips[ROUND_TRIPS * 9 / 10]
+    );
+}
+
 #[test]
 fn typed_errors_cross_the_wire() {
+    let _serial = serial();
     let server = test_server(ServeConfig::default());
     let mut client = connect(&server);
     for (body, status, kind) in [
@@ -130,6 +177,7 @@ fn typed_errors_cross_the_wire() {
 
 #[test]
 fn oversized_bodies_get_413_and_close() {
+    let _serial = serial();
     let server = test_server(ServeConfig {
         max_body: 256,
         ..ServeConfig::default()
@@ -157,6 +205,7 @@ fn oversized_bodies_get_413_and_close() {
 
 #[test]
 fn split_segments_and_pipelining_work_over_tcp() {
+    let _serial = serial();
     let server = test_server(ServeConfig::default());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
@@ -219,6 +268,7 @@ fn split_segments_and_pipelining_work_over_tcp() {
 
 #[test]
 fn early_disconnects_leave_the_server_healthy() {
+    let _serial = serial();
     let server = test_server(ServeConfig::default());
 
     // Disconnect mid-head.
@@ -267,6 +317,7 @@ fn early_disconnects_leave_the_server_healthy() {
 
 #[test]
 fn concurrent_identical_requests_coalesce_to_one_cache_miss() {
+    let _serial = serial();
     defender_obs::enable();
     let server = test_server(ServeConfig {
         // A generous window so every racer lands while the class is
@@ -313,6 +364,7 @@ fn concurrent_identical_requests_coalesce_to_one_cache_miss() {
 
 #[test]
 fn metrics_and_judged_counters_survive_warm_restart() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("defender-serve-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
