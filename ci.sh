@@ -16,6 +16,13 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== perfbench tests =="
+# The benchmark is a package of its own, outside the workspace. Its plan
+# tests pin every pool value against solve_exact and deduplicate fresh
+# classes by canonical key, so a canonicalizer or solver regression
+# fails here too, not only in a benchmark run.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== defender lint =="
 # Workspace static analysis (exactness, determinism, panic-freedom,
 # concurrency discipline, exact-path panic/cast gating, unsafe/dependency

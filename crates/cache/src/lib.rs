@@ -682,6 +682,16 @@ mod tests {
 
     const LIMIT: usize = 100_000;
 
+    /// Serializes the tests of this module that solve: several call
+    /// `obs::enable()` and compare deltas of process-global counters,
+    /// and the counter deltas a solve stores depend on whether metrics
+    /// are on, so a sibling test on another thread would perturb both.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn shuffled(graph: &Graph, rng: &mut StdRng) -> Graph {
         let n = graph.vertex_count();
         let mut perm: Vec<usize> = (0..n).collect();
@@ -703,6 +713,7 @@ mod tests {
 
     #[test]
     fn hit_reproduces_the_cold_answer_on_the_same_graph() {
+        let _serial = serial();
         let cache = EquilibriumCache::in_memory();
         for (graph, k, nu) in [
             (generators::cycle(5), 1usize, 1usize),
@@ -726,6 +737,7 @@ mod tests {
 
     #[test]
     fn isomorphic_instances_share_one_entry_and_stay_correct() {
+        let _serial = serial();
         let mut rng = StdRng::seed_from_u64(0xCAC4E);
         let cache = EquilibriumCache::in_memory();
         let base = generators::wheel(5);
@@ -747,6 +759,7 @@ mod tests {
 
     #[test]
     fn replayed_counters_make_hits_and_misses_indistinguishable() {
+        let _serial = serial();
         obs::enable();
         let graph = generators::cycle(5);
         let game = TupleGame::new(&graph, 1, 1).unwrap();
@@ -789,6 +802,7 @@ mod tests {
 
     #[test]
     fn cached_runs_tick_the_same_judged_counters_as_uncached_runs() {
+        let _serial = serial();
         obs::enable();
         // Built from its own canonical form so both paths solve the
         // identical labeling; each closure builds its own game the way
@@ -829,6 +843,7 @@ mod tests {
 
     #[test]
     fn sidecar_round_trips_bit_exactly() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("defender-cache-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
 
@@ -870,6 +885,7 @@ mod tests {
 
     #[test]
     fn disk_entries_verify_once_then_serve_hits() {
+        let _serial = serial();
         // Regression: the verify-on-first-use path re-locks the store; a
         // guard held across the `if let` body deadlocked here once.
         let dir =
@@ -896,6 +912,7 @@ mod tests {
 
     #[test]
     fn corrupt_disk_entries_are_recomputed_not_served() {
+        let _serial = serial();
         let dir =
             std::env::temp_dir().join(format!("defender-cache-corrupt-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -945,6 +962,7 @@ mod tests {
 
     #[test]
     fn batched_flush_writes_the_same_bytes_as_per_store_persist() {
+        let _serial = serial();
         let base =
             std::env::temp_dir().join(format!("defender-cache-flush-{}", std::process::id()));
         let eager_dir = base.join("eager");
@@ -997,6 +1015,7 @@ mod tests {
 
     #[test]
     fn probe_hits_without_replaying_and_misses_without_ticking() {
+        let _serial = serial();
         obs::enable();
         let graph = generators::cycle(5);
         let game = TupleGame::new(&graph, 1, 1).unwrap();
@@ -1042,6 +1061,7 @@ mod tests {
 
     #[test]
     fn replay_sums_reconstruct_judged_counters_per_served_class() {
+        let _serial = serial();
         let cache = EquilibriumCache::in_memory();
         let c5 = generators::cycle(5);
         let pet = generators::petersen();
@@ -1073,6 +1093,7 @@ mod tests {
 
     #[test]
     fn hints_flow_through_to_the_canonical_solve() {
+        let _serial = serial();
         let cache = EquilibriumCache::in_memory();
         let graph = generators::cycle(5);
         let game = TupleGame::new(&graph, 1, 1).unwrap();

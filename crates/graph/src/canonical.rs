@@ -7,30 +7,48 @@
 //! their canonical edge lists (equivalently, their canonical graph6
 //! strings) are equal.
 //!
-//! The algorithm is classic individualization–refinement, exact at every
-//! size (the search is complete — no hash-based shortcuts):
+//! The algorithm is individualization–refinement, exact at every size
+//! (no hash-based shortcuts):
 //!
 //! 1. **Iterative color refinement** (1-dimensional Weisfeiler–Leman):
 //!    vertices are repeatedly re-colored by the multiset of their
 //!    neighbors' colors until the partition stabilizes. Color ids are
 //!    assigned in sorted-signature order, so the refined partition is a
 //!    pure function of the isomorphism class.
-//! 2. **Individualization fallback**: when refinement stalls on a
-//!    non-discrete partition (regular and vertex-transitive graphs), the
-//!    search branches on every vertex of the first non-singleton color
-//!    class, individualizes it, re-refines, and recurses; the canonical
-//!    labeling is the discrete leaf whose relabeled edge list is
-//!    lexicographically smallest. A twin prune (vertices of one class
-//!    with identical neighborhoods are swappable by an automorphism, so
-//!    only one is branched) keeps complete and complete-bipartite
-//!    graphs linear instead of factorial.
+//! 2. **Individualization**: when refinement stalls on a non-discrete
+//!    partition (regular and vertex-transitive graphs), the search
+//!    branches on the vertices of the first non-singleton color class,
+//!    individualizes each, re-refines, and recurses. The canonical
+//!    labeling is the *first* discrete leaf, in depth-first order, whose
+//!    relabeled edge list is lexicographically smallest.
+//! 3. **Pruning by automorphisms.** Two leaves with equal edge lists
+//!    give an automorphism `γ = best⁻¹ ∘ leaf`, which the search records.
+//!    At each node it skips a vertex that lies in one orbit with an
+//!    already-branched sibling, the orbits being those of the recorded
+//!    automorphisms that fix the node's individualized path pointwise
+//!    (a small union–find). When a new automorphism maps the branch it
+//!    was found in onto the best leaf's, the rest of that branch is
+//!    abandoned. A twin prune (vertices of one class with identical
+//!    neighborhoods are swapped by an automorphism) still runs first: it
+//!    keeps complete and complete-bipartite graphs linear before any
+//!    leaf exists to yield automorphisms.
+//!
+//! **Why pruning does not change the output.** An automorphism that
+//! fixes a node's path preserves its coloring, so it carries one child
+//! subtree onto another leaf for leaf, with the same edge lists. The
+//! skipped subtree therefore holds no leaf smaller than the minimum of
+//! the earlier sibling already searched, and the first minimal leaf,
+//! kept with a strict `<`, is never in it. `key()` and `relabel()` are
+//! byte-identical to those of the unpruned search, which the tests keep
+//! as an oracle.
 //!
 //! Everything is `Vec`/sort based — no `HashMap`, no iteration-order
 //! dependence — so the determinism lint holds and the canonical form is
 //! bit-stable across platforms. The differential tests pin the search
-//! against brute-force minimization over all `n!` permutations on an
-//! ≤8-vertex corpus, and against random relabelings of every generator
-//! family.
+//! against the unpruned search on random relabelings of symmetric
+//! families and on random graphs, against brute-force minimization over
+//! all `n!` permutations on an ≤8-vertex corpus, and against random
+//! relabelings of every generator family.
 
 use crate::builder::GraphBuilder;
 use crate::graph::Graph;
@@ -109,23 +127,31 @@ impl CanonicalForm {
     }
 }
 
-/// The minimal discrete leaf found so far: `(canonical edges, relabeling)`.
-type BestLeaf = Option<(Vec<(usize, usize)>, Vec<usize>)>;
-
-/// Computes the canonical form of `g` by individualization–refinement.
+/// Computes the canonical form of `g` by individualization–refinement,
+/// pruned by the automorphisms the search discovers.
+///
+/// The canonical labeling is the first discrete leaf, in depth-first
+/// order over the individualization tree, whose relabeled edge list is
+/// lexicographically smallest. Two sibling branches that one
+/// automorphism fixing their parent's path maps onto each other are
+/// images of each other, leaf for leaf, with equal edge lists; so the
+/// later one can never hold that first minimal leaf, and skipping it
+/// leaves the labeling exactly what the exhaustive search returns.
 ///
 /// Exact at every size; worst-case exponential in pathological strongly
-/// regular graphs, but linear-ish on the workspace's generator families
-/// (the twin prune collapses complete/star/bipartite blowups, and
-/// refinement after one individualization splits paths, cycles, grids,
-/// hypercubes, and Petersen almost to discreteness).
+/// regular graphs, but fast on the workspace's generator families: the
+/// twin prune collapses complete/star/bipartite blowups, and the orbit
+/// prune cuts vertex-transitive graphs (cycles, hypercubes, Petersen)
+/// down to a few root-to-leaf paths.
 #[must_use]
 pub fn canonical_form(g: &Graph) -> CanonicalForm {
     let n = g.vertex_count();
     let adj = adjacency_lists(g);
-    let mut best: BestLeaf = None;
-    search(&adj, vec![0; n], &mut best);
-    let (edges, relabel) = best.unwrap_or((Vec::new(), Vec::new()));
+    let mut search = Search::new(&adj);
+    search.node(vec![0; n]);
+    let (edges, relabel) = search
+        .best
+        .map_or((Vec::new(), Vec::new()), |leaf| (leaf.edges, leaf.labels));
     let hash = fnv1a(n, &edges);
     CanonicalForm {
         vertex_count: n,
@@ -197,33 +223,97 @@ fn relabeled_edges(raw: &[(usize, usize)], relabel: &[usize]) -> Vec<(usize, usi
     edges
 }
 
-/// Refines `colors` to the coarsest stable partition respecting
-/// neighbor-color multisets. Color ids come out dense (`0..k`) in
-/// sorted-signature order, which makes the loop's fixed-point test a
-/// plain vector equality and the whole procedure isomorphism-invariant.
-fn refine(adj: &[Vec<usize>], colors: &mut Vec<usize>) {
-    let n = adj.len();
-    loop {
-        let mut sigs: Vec<(usize, Vec<usize>, usize)> = (0..n)
-            .map(|v| {
-                let mut nc: Vec<usize> = adj[v].iter().map(|&u| colors[u]).collect();
-                nc.sort_unstable();
-                (colors[v], nc, v)
-            })
-            .collect();
-        sigs.sort();
-        let mut next_colors = vec![0; n];
-        let mut next = 0;
-        for i in 0..n {
-            if i > 0 && (sigs[i].0, &sigs[i].1) != (sigs[i - 1].0, &sigs[i - 1].1) {
-                next += 1;
+/// Scratch buffers for color refinement, allocated once per search and
+/// reused by every round at every node.
+struct Refiner {
+    /// Vertex `v`'s sorted neighbor colors sit at
+    /// `signatures[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
+    signatures: Vec<usize>,
+    /// Every vertex, grouped by color, cells in ascending color order.
+    order: Vec<usize>,
+    /// The next round's color of `order[i]`.
+    next: Vec<usize>,
+}
+
+impl Refiner {
+    fn new(adj: &[Vec<usize>]) -> Refiner {
+        let mut offsets = Vec::with_capacity(adj.len() + 1);
+        offsets.push(0);
+        let mut total = 0;
+        for list in adj {
+            total += list.len();
+            offsets.push(total);
+        }
+        Refiner {
+            offsets,
+            signatures: vec![0; total],
+            order: Vec::with_capacity(adj.len()),
+            next: Vec::with_capacity(adj.len()),
+        }
+    }
+
+    /// Refines `colors` (dense ids `0..k`) to the coarsest stable
+    /// partition respecting neighbor-color multisets. Each round sorts
+    /// every cell by its vertices' neighbor-color multisets and numbers
+    /// the pieces densely in (color, multiset) order, so cells keep
+    /// their relative order, a round that splits nothing is the fixed
+    /// point, and the result is isomorphism-invariant.
+    fn refine(&mut self, adj: &[Vec<usize>], colors: &mut [usize]) {
+        let Refiner {
+            offsets,
+            signatures,
+            order,
+            next,
+        } = self;
+        let n = colors.len();
+        order.clear();
+        order.extend(0..n);
+        order.sort_unstable_by_key(|&v| colors[v]);
+        let mut cell_count = colors.iter().max().map_or(0, |&c| c + 1);
+        loop {
+            next.clear();
+            let mut id = 0;
+            let mut start = 0;
+            while start < n {
+                let color = colors[order[start]];
+                let len = order[start..]
+                    .iter()
+                    .take_while(|&&v| colors[v] == color)
+                    .count();
+                let cell = &mut order[start..start + len];
+                start += len;
+                if len == 1 {
+                    next.push(id);
+                    id += 1;
+                    continue;
+                }
+                for &v in cell.iter() {
+                    let sig = &mut signatures[offsets[v]..offsets[v + 1]];
+                    for (slot, &u) in sig.iter_mut().zip(&adj[v]) {
+                        *slot = colors[u];
+                    }
+                    sig.sort_unstable();
+                }
+                let sig = |v: usize| &signatures[offsets[v]..offsets[v + 1]];
+                cell.sort_unstable_by(|&a, &b| sig(a).cmp(sig(b)));
+                next.push(id);
+                for pair in cell.windows(2) {
+                    if sig(pair[0]) != sig(pair[1]) {
+                        id += 1;
+                    }
+                    next.push(id);
+                }
+                id += 1;
             }
-            next_colors[sigs[i].2] = next;
+            if id == cell_count {
+                return;
+            }
+            cell_count = id;
+            for (&v, &c) in order.iter().zip(next.iter()) {
+                colors[v] = c;
+            }
         }
-        if next_colors == *colors {
-            return;
-        }
-        *colors = next_colors;
     }
 }
 
@@ -231,51 +321,199 @@ fn refine(adj: &[Vec<usize>], colors: &mut Vec<usize>) {
 /// neighborhoods once each other is excluded. The transposition
 /// `(u v)` is then a color-preserving automorphism, so branching on
 /// both cannot improve the canonical leaf — the prune that keeps
-/// cliques and bicliques out of factorial territory.
+/// cliques and bicliques out of factorial territory before the search
+/// has reached any leaf to discover automorphisms from.
 fn twins(adj: &[Vec<usize>], u: usize, v: usize) -> bool {
     let nu = adj[u].iter().copied().filter(|&w| w != v);
     let nv = adj[v].iter().copied().filter(|&w| w != u);
     nu.eq(nv)
 }
 
-/// The complete individualization–refinement search. `colors` is the
-/// current (possibly individualized) coloring; `best` accumulates the
-/// minimal discrete leaf as `(canonical edges, relabeling)`.
-fn search(adj: &[Vec<usize>], mut colors: Vec<usize>, best: &mut BestLeaf) {
-    let n = adj.len();
-    refine(adj, &mut colors);
-    let color_count = colors.iter().max().map_or(0, |&c| c + 1);
-    if color_count == n {
-        // Discrete: the coloring *is* the relabeling (dense ids).
-        let raw: Vec<(usize, usize)> = (0..n)
-            .flat_map(|u| {
-                adj[u]
-                    .iter()
+/// Union–find over the vertices: the orbits of the automorphisms merged
+/// into it so far.
+struct Orbits {
+    parent: Vec<usize>,
+}
+
+impl Orbits {
+    fn new(n: usize) -> Orbits {
+        Orbits {
+            parent: (0..n).collect(),
+        }
+    }
+
+    fn find(&mut self, mut v: usize) -> usize {
+        while self.parent[v] != v {
+            self.parent[v] = self.parent[self.parent[v]];
+            v = self.parent[v];
+        }
+        v
+    }
+
+    /// Joins every vertex's orbit with its image's under `gamma`.
+    fn merge(&mut self, gamma: &[usize]) {
+        for (v, &w) in gamma.iter().enumerate() {
+            let (a, b) = (self.find(v), self.find(w));
+            if a != b {
+                self.parent[a.max(b)] = a.min(b);
+            }
+        }
+    }
+
+    fn same(&mut self, u: usize, v: usize) -> bool {
+        self.find(u) == self.find(v)
+    }
+}
+
+/// A discrete leaf of the search.
+struct Leaf {
+    /// Relabeled edges, each `(lo, hi)`, sorted.
+    edges: Vec<(usize, usize)>,
+    /// The leaf's coloring: `labels[v]` is the label of vertex `v`.
+    labels: Vec<usize>,
+    /// The vertices individualized from the root down to the leaf.
+    path: Vec<usize>,
+}
+
+/// The individualization–refinement search over one graph.
+struct Search<'a> {
+    adj: &'a [Vec<usize>],
+    /// Every edge once, as `(u, v)` with `u < v`.
+    raw: Vec<(usize, usize)>,
+    refiner: Refiner,
+    /// The vertices individualized from the root down to the current node.
+    path: Vec<usize>,
+    /// The first minimal leaf so far.
+    best: Option<Leaf>,
+    /// Automorphisms found so far, the identity excluded:
+    /// `gamma[v]` is the image of `v`.
+    automorphisms: Vec<Vec<usize>>,
+    /// Set when a leaf shows that the rest of the branch it lies in,
+    /// below the node at this depth, mirrors a branch already searched:
+    /// deeper nodes return at once.
+    unwind_to: Option<usize>,
+}
+
+impl<'a> Search<'a> {
+    fn new(adj: &'a [Vec<usize>]) -> Search<'a> {
+        let raw = adj
+            .iter()
+            .enumerate()
+            .flat_map(|(u, list)| {
+                list.iter()
                     .copied()
                     .filter(move |&v| u < v)
                     .map(move |v| (u, v))
             })
             .collect();
-        let edges = relabeled_edges(&raw, &colors);
-        if best.as_ref().map_or(true, |(b, _)| edges < *b) {
-            *best = Some((edges, colors));
+        Search {
+            adj,
+            raw,
+            refiner: Refiner::new(adj),
+            path: Vec::new(),
+            best: None,
+            automorphisms: Vec::new(),
+            unwind_to: None,
         }
-        return;
     }
-    // First non-singleton class (smallest color id — isomorphism-invariant).
-    let target = (0..color_count)
-        .find(|&c| colors.iter().filter(|&&x| x == c).count() >= 2)
-        .unwrap_or(0);
-    let cell: Vec<usize> = (0..n).filter(|&v| colors[v] == target).collect();
-    let mut branched: Vec<usize> = Vec::new();
-    for &v in &cell {
-        if branched.iter().any(|&u| twins(adj, u, v)) {
-            continue;
+
+    /// Refines `colors` and scores the leaf if it is discrete; otherwise
+    /// branches on each vertex of the first non-singleton cell that no
+    /// earlier branch already covers (a twin, or the same orbit of the
+    /// automorphisms that fix this node's path).
+    fn node(&mut self, mut colors: Vec<usize>) {
+        self.refiner.refine(self.adj, &mut colors);
+        let color_count = colors.iter().max().map_or(0, |&c| c + 1);
+        let mut sizes = vec![0_usize; color_count];
+        for &c in &colors {
+            sizes[c] += 1;
         }
-        branched.push(v);
-        let mut child = colors.clone();
-        child[v] = color_count; // individualize: fresh unique color
-        search(adj, child, best);
+        // First non-singleton class (smallest color id — isomorphism-invariant).
+        let Some(target) = sizes.iter().position(|&s| s >= 2) else {
+            // Discrete: the coloring *is* the relabeling (dense ids).
+            self.leaf(colors);
+            return;
+        };
+        let depth = self.path.len();
+        let cell: Vec<usize> = (0..colors.len()).filter(|&v| colors[v] == target).collect();
+        let mut orbits = Orbits::new(colors.len());
+        let mut merged = 0;
+        let mut branched: Vec<usize> = Vec::new();
+        for &v in &cell {
+            // Only automorphisms fixing the path preserve this coloring.
+            for gamma in &self.automorphisms[merged..] {
+                if self.path.iter().all(|&p| gamma[p] == p) {
+                    orbits.merge(gamma);
+                }
+            }
+            merged = self.automorphisms.len();
+            if branched
+                .iter()
+                .any(|&u| orbits.same(u, v) || twins(self.adj, u, v))
+            {
+                continue;
+            }
+            branched.push(v);
+            let mut child = colors.clone();
+            child[v] = color_count; // individualize: fresh unique color
+            self.path.push(v);
+            self.node(child);
+            self.path.pop();
+            if let Some(to) = self.unwind_to {
+                if to < depth {
+                    return;
+                }
+                self.unwind_to = None;
+            }
+        }
+    }
+
+    /// Scores a discrete leaf. A strictly smaller edge list replaces the
+    /// best leaf; an equal one yields the automorphism
+    /// `γ = best⁻¹ ∘ leaf`.
+    fn leaf(&mut self, labels: Vec<usize>) {
+        let edges = relabeled_edges(&self.raw, &labels);
+        let best = match &self.best {
+            Some(best) if edges >= best.edges => best,
+            _ => {
+                self.best = Some(Leaf {
+                    edges,
+                    labels,
+                    path: self.path.clone(),
+                });
+                return;
+            }
+        };
+        if edges != best.edges {
+            return;
+        }
+        let mut inverse = vec![0; labels.len()];
+        for (v, &c) in best.labels.iter().enumerate() {
+            inverse[c] = v;
+        }
+        let gamma: Vec<usize> = labels.iter().map(|&c| inverse[c]).collect();
+        if gamma.iter().enumerate().all(|(v, &w)| v == w) {
+            return;
+        }
+        // The paths part at `split`. When γ fixes their common prefix
+        // and carries this leaf's branch vertex onto the best leaf's,
+        // the rest of this branch is the image of one already searched.
+        let split = self
+            .path
+            .iter()
+            .zip(&best.path)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let prefix_fixed = self.path[..split].iter().all(|&p| gamma[p] == p);
+        let mirrored = self
+            .path
+            .get(split)
+            .zip(best.path.get(split))
+            .is_some_and(|(&x, &u)| gamma[x] == u);
+        if prefix_fixed && mirrored {
+            self.unwind_to = Some(split);
+        }
+        self.automorphisms.push(gamma);
     }
 }
 
@@ -361,6 +599,154 @@ mod tests {
             form.edges(),
             "relabel carries the original edges onto the canonical list"
         );
+    }
+
+    /// The minimal discrete leaf found so far: `(canonical edges, relabeling)`.
+    type BestLeaf = Option<(Vec<(usize, usize)>, Vec<usize>)>;
+
+    /// The exhaustive search the pruned one replaced: the same
+    /// individualization tree with only the twin prune, refined with a
+    /// fresh `Vec` per vertex per round. `canonical_form` must return
+    /// exactly what this returns.
+    fn exhaustive_canonical_form(g: &Graph) -> CanonicalForm {
+        let n = g.vertex_count();
+        let adj = adjacency_lists(g);
+        let mut best: BestLeaf = None;
+        exhaustive_search(&adj, vec![0; n], &mut best);
+        let (edges, relabel) = best.unwrap_or((Vec::new(), Vec::new()));
+        let hash = fnv1a(n, &edges);
+        CanonicalForm {
+            vertex_count: n,
+            relabel,
+            edges,
+            hash,
+        }
+    }
+
+    fn exhaustive_refine(adj: &[Vec<usize>], colors: &mut Vec<usize>) {
+        let n = adj.len();
+        loop {
+            let mut sigs: Vec<(usize, Vec<usize>, usize)> = (0..n)
+                .map(|v| {
+                    let mut nc: Vec<usize> = adj[v].iter().map(|&u| colors[u]).collect();
+                    nc.sort_unstable();
+                    (colors[v], nc, v)
+                })
+                .collect();
+            sigs.sort();
+            let mut next_colors = vec![0; n];
+            let mut next = 0;
+            for i in 0..n {
+                if i > 0 && (sigs[i].0, &sigs[i].1) != (sigs[i - 1].0, &sigs[i - 1].1) {
+                    next += 1;
+                }
+                next_colors[sigs[i].2] = next;
+            }
+            if next_colors == *colors {
+                return;
+            }
+            *colors = next_colors;
+        }
+    }
+
+    fn exhaustive_search(adj: &[Vec<usize>], mut colors: Vec<usize>, best: &mut BestLeaf) {
+        let n = adj.len();
+        exhaustive_refine(adj, &mut colors);
+        let color_count = colors.iter().max().map_or(0, |&c| c + 1);
+        if color_count == n {
+            let raw: Vec<(usize, usize)> = (0..n)
+                .flat_map(|u| {
+                    adj[u]
+                        .iter()
+                        .copied()
+                        .filter(move |&v| u < v)
+                        .map(move |v| (u, v))
+                })
+                .collect();
+            let edges = relabeled_edges(&raw, &colors);
+            if best.as_ref().map_or(true, |(b, _)| edges < *b) {
+                *best = Some((edges, colors));
+            }
+            return;
+        }
+        let target = (0..color_count)
+            .find(|&c| colors.iter().filter(|&&x| x == c).count() >= 2)
+            .unwrap_or(0);
+        let cell: Vec<usize> = (0..n).filter(|&v| colors[v] == target).collect();
+        let mut branched: Vec<usize> = Vec::new();
+        for &v in &cell {
+            if branched.iter().any(|&u| twins(adj, u, v)) {
+                continue;
+            }
+            branched.push(v);
+            let mut child = colors.clone();
+            child[v] = color_count;
+            exhaustive_search(adj, child, best);
+        }
+    }
+
+    /// The prism `C_n × K_2`: two `n`-cycles joined by rungs.
+    fn prism(n: usize) -> Graph {
+        let mut b = GraphBuilder::new(2 * n);
+        for i in 0..n {
+            let j = (i + 1) % n;
+            b.add_edge(i, j).add_edge(n + i, n + j).add_edge(i, n + i);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn pruned_search_returns_exactly_the_exhaustive_form() {
+        // Symmetric families are where the orbit prune fires; random
+        // graphs are where it must stay out of the way. Every input is
+        // relabeled at random first, so the search meets each graph in
+        // many labelings.
+        let mut rng = StdRng::seed_from_u64(0x0B17);
+        let mut families: Vec<Graph> = vec![
+            generators::petersen(),
+            generators::hypercube(3),
+            generators::hypercube(4),
+            generators::circulant(8, &[1, 2]),
+            generators::circulant(9, &[1, 3]),
+            generators::circulant(10, &[1, 3]),
+            generators::circulant(12, &[1, 5]),
+            generators::circulant(12, &[2, 3]),
+            generators::complete(6),
+            generators::star(6),
+        ];
+        for n in 3..=7 {
+            families.push(prism(n));
+            families.push(generators::ladder(n));
+            families.push(generators::wheel(n + 1));
+        }
+        for n in 2..=4 {
+            families.push(generators::complete_bipartite(n, n));
+        }
+        for (rows, cols) in [(2, 3), (3, 3), (3, 4), (4, 4)] {
+            families.push(generators::grid(rows, cols));
+        }
+        for n in 3..=12 {
+            families.push(generators::cycle(n));
+        }
+        let mut corpus: Vec<Graph> = Vec::new();
+        for g in &families {
+            for _ in 0..8 {
+                corpus.push(shuffled(g, &mut rng));
+            }
+        }
+        for n in 1..=11 {
+            for p in [0.2, 0.35, 0.5, 0.7] {
+                for _ in 0..6 {
+                    corpus.push(generators::gnp(n, p, &mut rng));
+                }
+            }
+        }
+        for (i, g) in corpus.iter().enumerate() {
+            let pruned = canonical_form(g);
+            let oracle = exhaustive_canonical_form(g);
+            assert_eq!(pruned.key(), oracle.key(), "graph {i}: key");
+            assert_eq!(pruned.relabel(), oracle.relabel(), "graph {i}: relabel");
+        }
     }
 
     #[test]

@@ -329,7 +329,9 @@ impl Solver {
             obs::counter!("srv.batched").add(batch.len() as u64);
             obs::histogram!("srv.batch_size").record(batch.len() as u64);
 
-            let results = defender_par::par_map(&batch, |key| solve_class(&self.cache, key));
+            let results = defender_par::par_map(&batch, |key| {
+                solve_guarded(|| solve_class(&self.cache, key))
+            });
             let mut served = self.lock_served();
             let mut inflight = self.lock_inflight();
             for (key, result) in batch.iter().zip(results) {
@@ -387,6 +389,30 @@ impl Drop for Solver {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Runs one class's solve so that a panic fails only that class: its
+/// waiters get a typed `500 SolvePanicked` and `srv.panics` ticks, while
+/// the batcher thread and the rest of its batch carry on. `Ratio`
+/// operators panic on overflow by contract, so without this guard one
+/// overflowing instance would stop every later miss from being solved.
+fn solve_guarded(solve: impl FnOnce() -> Result<(), HttpError>) -> Result<(), HttpError> {
+    // AssertUnwindSafe: a panicking solve stores nothing in the cache
+    // (entries are inserted only after a solve returns), and every lock
+    // on the serve path recovers from poisoning.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve)).unwrap_or_else(|payload| {
+        obs::counter!("srv.panics").incr();
+        let reason = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        Err(HttpError {
+            status: 500,
+            kind: "SolvePanicked",
+            message: format!("the solve panicked: {reason}"),
+        })
+    })
 }
 
 /// Solves one canonical class through the memo. The canonical graph is
@@ -609,6 +635,32 @@ mod tests {
         assert_eq!(solver.judged_counters(), cold);
         assert!(!cold.is_empty());
         solver.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_solve_becomes_a_typed_500_and_ticks_srv_panics() {
+        let _serial = serial();
+        obs::enable();
+        let before = obs::snapshot();
+        let err = solve_guarded(|| panic!("ratio overflow")).unwrap_err();
+        let after = obs::snapshot();
+        assert_eq!(err.status, 500);
+        assert_eq!(err.kind, "SolvePanicked");
+        assert!(err.message.contains("ratio overflow"), "{}", err.message);
+        assert_eq!(
+            after.counter("srv.panics").unwrap_or(0),
+            before.counter("srv.panics").unwrap_or(0) + 1
+        );
+        // A solve that returns passes through untouched.
+        assert!(solve_guarded(|| Ok(())).is_ok());
+        let refused = solve_guarded(|| {
+            Err(HttpError {
+                status: 422,
+                kind: "Unsolvable",
+                message: String::new(),
+            })
+        });
+        assert_eq!(refused.unwrap_err().status, 422);
     }
 
     #[test]
