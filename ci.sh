@@ -16,6 +16,15 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== serve tests, repeated =="
+# The shedding, coalescing and latency-floor tests of defender-serve
+# depend on timing and on lock order between the batcher and the
+# request threads; rerunning them catches order and timing flakes that
+# one pass would miss.
+for _ in 1 2 3 4 5; do
+  cargo test -q -p defender-serve
+done
+
 echo "== perfbench tests =="
 # The benchmark is a package of its own, outside the workspace. Its plan
 # tests pin every pool value against solve_exact and deduplicate fresh
@@ -258,8 +267,9 @@ target/release/defender bench diff \
 
 echo "== serve overload gate =="
 # A tiny queue and a long batch window force the load governor's hand:
-# the flood of distinct fresh classes must shed with 429 + Retry-After
-# past the watermark while an already-warm class keeps answering 200
+# the loadgen's warm-up solve starts a round, at most one round starts
+# per window, so the flood of distinct fresh classes right behind it
+# queues and must shed with 429 + Retry-After past the watermark while an already-warm class keeps answering 200
 # hits (the loadgen asserts all three, and shuts the server down even on
 # its failure path).
 serve_start "$SERVE_DIR/overload.log" --max-queue 4 --batch-window-ms 400

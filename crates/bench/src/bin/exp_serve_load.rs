@@ -559,10 +559,11 @@ fn write_sidecar(
 }
 
 /// `--overload`: point this at a server started with a tiny
-/// `--max-queue` and a long `--batch-window-ms`. Warms one class, floods
-/// distinct fresh classes from every client, and asserts the load
-/// governor sheds with 429 + `Retry-After` while the warm class stays
-/// servable.
+/// `--max-queue` and a long `--batch-window-ms`. Warms one class, whose
+/// solve round arms the window, then floods distinct fresh classes from
+/// every client: they queue until the window since that round runs out,
+/// so the queue crosses its watermark. Asserts the load governor sheds
+/// with 429 + `Retry-After` while the warm class stays servable.
 fn run_overload(options: &Options) -> Result<(), String> {
     let warm_body = format!(
         r#"{{"graph6": "{}", "k": 1, "nu": 1}}"#,

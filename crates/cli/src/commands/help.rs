@@ -180,8 +180,11 @@ OPTIONS:
                           help cache`); in-memory when absent
   --jobs <N>              worker-pool width for batched solves
                           (default: available parallelism)
-  --batch-window-ms <W>   linger this long to micro-batch distinct
-                          concurrent misses (default: 5)
+  --batch-window-ms <W>   start at most one solve round per W ms: a
+                          miss on an idle server solves at once, a
+                          miss within W of the last round's start
+                          lingers out the rest of W so a burst of
+                          distinct misses batches (default: 5)
   --max-queue <Q>         bound on queued solve classes; requests shed
                           with 429 past the ¾ watermark (default: 64)
   --max-body <BYTES>      request body bound, 413 beyond it
@@ -210,8 +213,8 @@ HOW IT WORKS:
   cache first: isomorphic repeats are pure lookups (no LP, no replay —
   a warm server shows zero live lp.* activity). Concurrent requests for
   the same canonical class coalesce onto one in-flight solve; distinct
-  misses inside the batch window are solved as one parallel batch on
-  the defender-par pool. Bounded queues govern overload: past the
+  misses that queue while a round is held by the batch window are
+  solved as one parallel batch on the defender-par pool. Bounded queues govern overload: past the
   watermark requests shed immediately with 429 + Retry-After rather
   than queueing without bound. Errors are typed JSON
   ({{\"error\": {{\"kind\", \"message\"}}}}) with the graph6 decode kinds

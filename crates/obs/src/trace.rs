@@ -14,7 +14,9 @@
 //! - **no blocking on the hot path**: every thread owns its own ring
 //!   buffer and reaches it through a `try_lock` that only an exporter can
 //!   ever contend, so the recording thread never waits — a contended
-//!   event is *dropped and counted*, never a stall;
+//!   event is *parked* in a spill only its owner touches and flushed, in
+//!   order, ahead of the thread's next event and again at thread exit;
+//!   a spill still parked when an exporter reads counts as dropped;
 //! - **bounded memory**: each ring holds at most [`capacity`] events;
 //!   overflow drops the *oldest* event and increments the buffer's drop
 //!   counter, so a long run degrades into "the most recent window" rather
@@ -43,7 +45,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 // lint: allow(determinism) span timing is the obs layer's purpose; durations never feed counter values
 use std::time::Instant;
 
@@ -119,12 +121,78 @@ impl Ring {
 struct ThreadBuffer {
     tid: u64,
     ring: Mutex<Ring>,
-    /// Events dropped because an exporter held the ring lock at record
-    /// time (the owner thread never blocks — see module docs).
-    contended: AtomicU64,
+    /// Events recorded while an exporter held the ring lock that have
+    /// not reached the ring: parked in the owner's spill, or pushed out
+    /// of a full one. Exports count them as dropped.
+    spilled: AtomicU64,
     /// Human-readable lane name (empty = unnamed); exported as a Chrome
     /// `thread_name` metadata event and surfaced by [`snapshot_threads`].
     label: Mutex<String>,
+}
+
+impl ThreadBuffer {
+    /// Parks `event` in the owner's spill. The spill is bounded like the
+    /// ring: a full spill drops its oldest event, which stays counted in
+    /// `spilled` because it never reaches the ring.
+    fn park(&self, spill: &mut VecDeque<Event>, event: Event, capacity: usize) {
+        self.spilled.fetch_add(1, Ordering::Relaxed);
+        if capacity == 0 {
+            return;
+        }
+        while spill.len() >= capacity {
+            spill.pop_front();
+        }
+        spill.push_back(event);
+    }
+
+    /// Moves the owner's spill into `ring`, oldest first.
+    fn flush(&self, spill: &mut VecDeque<Event>, ring: &mut Ring) {
+        if spill.is_empty() {
+            return;
+        }
+        let flushed = spill.len() as u64;
+        let capacity = capacity();
+        for event in spill.drain(..) {
+            ring.push(event, capacity);
+        }
+        // Saturating: a `clear` may have zeroed the count meanwhile.
+        let _ = self
+            .spilled
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                Some(n.saturating_sub(flushed))
+            });
+    }
+}
+
+/// A thread's handle on its registered buffer, plus its spill: the
+/// events it recorded while an exporter held the ring lock, in order.
+/// Only the owning thread touches the spill, so parking never waits.
+struct Local {
+    buffer: Arc<ThreadBuffer>,
+    spill: VecDeque<Event>,
+}
+
+impl Local {
+    /// Flushes the spill, waiting for the ring lock. Only for points
+    /// where the thread is not recording: exports and thread exit.
+    fn flush_blocking(&mut self) {
+        if self.spill.is_empty() {
+            return;
+        }
+        let mut ring = self
+            .buffer
+            .ring
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.buffer.flush(&mut self.spill, &mut ring);
+    }
+}
+
+impl Drop for Local {
+    /// A thread's last events may still be parked when it exits.
+    fn drop(&mut self) {
+        self.flush_blocking();
+    }
 }
 
 fn registry() -> &'static Mutex<Vec<Arc<ThreadBuffer>>> {
@@ -143,27 +211,46 @@ fn epoch() -> Instant {
 }
 
 thread_local! {
-    static LOCAL: RefCell<Option<Arc<ThreadBuffer>>> = const { RefCell::new(None) };
+    static LOCAL: RefCell<Option<Local>> = const { RefCell::new(None) };
 }
 
-fn with_local_buffer(f: impl FnOnce(&ThreadBuffer)) {
+fn with_local(f: impl FnOnce(&mut Local)) {
     LOCAL.with(|slot| {
         let mut slot = slot.borrow_mut();
-        let buffer = slot.get_or_insert_with(|| {
+        let local = slot.get_or_insert_with(|| {
             let buffer = Arc::new(ThreadBuffer {
                 tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
                 ring: Mutex::new(Ring::default()),
-                contended: AtomicU64::new(0),
+                spilled: AtomicU64::new(0),
                 label: Mutex::new(String::new()),
             });
             registry()
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .push(Arc::clone(&buffer));
-            buffer
+            Local {
+                buffer,
+                spill: VecDeque::new(),
+            }
         });
-        f(buffer);
+        f(local);
     });
+}
+
+/// Applies `f` to the calling thread's `Local`, if it ever registered
+/// one (and its thread-local is still alive).
+fn with_own_local(f: impl FnOnce(&mut Local)) {
+    let _ = LOCAL.try_with(|slot| {
+        if let Some(local) = slot.borrow_mut().as_mut() {
+            f(local);
+        }
+    });
+}
+
+/// Exporters call this first, so the exporting thread's own parked
+/// events are in its ring before the rings are read.
+fn flush_own_spill() {
+    with_own_local(Local::flush_blocking);
 }
 
 /// Turns event recording on (process-wide). Timestamps are nanoseconds
@@ -201,8 +288,10 @@ pub fn capacity() -> usize {
 
 /// Discards every recorded event, zeroes the drop counters, and forgets
 /// thread labels. Buffers stay registered so thread ids remain stable
-/// across clears.
+/// across clears. The calling thread's spill is discarded too; another
+/// thread's spill is its own, and lands in its ring on its next event.
 pub fn clear() {
+    with_own_local(|local| local.spill.clear());
     for buffer in registry()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -214,7 +303,7 @@ pub fn clear() {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         ring.events.clear();
         ring.dropped = 0;
-        buffer.contended.store(0, Ordering::Relaxed);
+        buffer.spilled.store(0, Ordering::Relaxed);
         buffer
             .label
             .lock()
@@ -225,15 +314,23 @@ pub fn clear() {
 
 fn record(kind: EventKind, name: &'static str) {
     let ts_ns = u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX);
-    with_local_buffer(|buffer| {
+    let event = Event { ts_ns, kind, name };
+    with_local(|local| {
         // The owning thread is the only writer; the lock is contended only
-        // while an exporter reads. Never block the traced workload: drop
-        // the event, count the drop.
-        match buffer.ring.try_lock() {
-            Ok(mut ring) => ring.push(Event { ts_ns, kind, name }, capacity()),
-            Err(_) => {
-                buffer.contended.fetch_add(1, Ordering::Relaxed);
+        // while an exporter reads. Never block the traced workload: park
+        // the event in the spill, which goes in ahead of the next event
+        // that gets the lock, so the ring keeps recording order.
+        let ring = match local.buffer.ring.try_lock() {
+            Ok(ring) => Some(ring),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        match ring {
+            Some(mut ring) => {
+                local.buffer.flush(&mut local.spill, &mut ring);
+                ring.push(event, capacity());
             }
+            None => local.buffer.park(&mut local.spill, event, capacity()),
         }
     });
 }
@@ -262,8 +359,9 @@ pub fn set_thread_label(label: &str) {
     if !enabled() {
         return;
     }
-    with_local_buffer(|buffer| {
-        let mut slot = buffer
+    with_local(|local| {
+        let mut slot = local
+            .buffer
             .label
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -299,10 +397,11 @@ pub fn instant(name: &'static str) {
     }
 }
 
-/// Total events dropped so far (ring overflow + exporter contention),
-/// summed over every thread.
+/// Total events dropped so far (ring overflow + spilled events not yet
+/// in a ring), summed over every thread.
 #[must_use]
 pub fn dropped_events() -> u64 {
+    flush_own_spill();
     registry()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -312,7 +411,7 @@ pub fn dropped_events() -> u64 {
                 .ring
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ring.dropped + b.contended.load(Ordering::Relaxed)
+            ring.dropped + b.spilled.load(Ordering::Relaxed)
         })
         .sum()
 }
@@ -347,7 +446,8 @@ pub struct ThreadSnapshot {
     pub label: String,
     /// Buffered events in recording order.
     pub events: Vec<Event>,
-    /// Events this thread dropped (ring overflow + exporter contention).
+    /// Events this thread dropped (ring overflow + spilled events not
+    /// yet in its ring).
     pub dropped: u64,
 }
 
@@ -356,6 +456,7 @@ pub struct ThreadSnapshot {
 /// a live trace without a JSON round-trip.
 #[must_use]
 pub fn snapshot_threads() -> Vec<ThreadSnapshot> {
+    flush_own_spill();
     let buffers: Vec<Arc<ThreadBuffer>> = registry()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -377,7 +478,7 @@ pub fn snapshot_threads() -> Vec<ThreadSnapshot> {
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .clone(),
                 events: ring.events.iter().cloned().collect(),
-                dropped: ring.dropped + buffer.contended.load(Ordering::Relaxed),
+                dropped: ring.dropped + buffer.spilled.load(Ordering::Relaxed),
             }
         })
         .collect();
@@ -388,6 +489,7 @@ pub fn snapshot_threads() -> Vec<ThreadSnapshot> {
 /// Total events currently buffered, summed over every thread.
 #[must_use]
 pub fn buffered_events() -> u64 {
+    flush_own_spill();
     registry()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -412,6 +514,7 @@ pub fn buffered_events() -> u64 {
 /// `"otherData"` so a truncated timeline is visible as such.
 #[must_use]
 pub fn chrome_trace_json() -> String {
+    flush_own_spill();
     let buffers: Vec<Arc<ThreadBuffer>> = registry()
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -427,7 +530,7 @@ pub fn chrome_trace_json() -> String {
             .ring
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        total_dropped += ring.dropped + buffer.contended.load(Ordering::Relaxed);
+        total_dropped += ring.dropped + buffer.spilled.load(Ordering::Relaxed);
         let label = buffer
             .label
             .lock()
@@ -821,6 +924,82 @@ mod tests {
         crate::disable();
         crate::reset();
         clear();
+    }
+
+    /// The calling thread's registered buffer (registers one if needed).
+    fn own_buffer() -> Arc<ThreadBuffer> {
+        let mut buffer = None;
+        with_local(|local| buffer = Some(Arc::clone(&local.buffer)));
+        buffer.expect("with_local registers a buffer")
+    }
+
+    #[test]
+    fn events_recorded_under_exporter_contention_keep_their_order() {
+        let _guard = lock();
+        clear();
+        start();
+        let buffer = own_buffer();
+        {
+            // An exporter holds this thread's ring while it records.
+            let _exporter = buffer.ring.lock().unwrap();
+            let _span = crate::span!("contended_pair");
+        }
+        assert_eq!(buffer.spilled.load(Ordering::Relaxed), 2, "B and E parked");
+        instant("after_release");
+        stop();
+        let threads = snapshot_threads();
+        let doc = chrome_trace_json();
+        clear();
+        let lane = threads
+            .iter()
+            .find(|t| t.tid == buffer.tid)
+            .expect("own lane");
+        let events: Vec<(&str, EventKind)> = lane.events.iter().map(|e| (e.name, e.kind)).collect();
+        assert_eq!(
+            events,
+            vec![
+                ("contended_pair", EventKind::Begin),
+                ("contended_pair", EventKind::End),
+                ("after_release", EventKind::Instant),
+            ]
+        );
+        assert_eq!(lane.dropped, 0);
+        let check = validate_chrome_trace(&doc).expect("valid trace");
+        assert_eq!(check.dropped, 0);
+    }
+
+    #[test]
+    fn a_spill_pending_at_export_counts_as_dropped_until_thread_exit() {
+        let _guard = lock();
+        clear();
+        start();
+        let (tx_buffer, rx_buffer) = std::sync::mpsc::channel();
+        let (tx_go, rx_go) = std::sync::mpsc::channel::<()>();
+        let (tx_parked, rx_parked) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            tx_buffer.send(own_buffer()).unwrap();
+            rx_go.recv().unwrap();
+            instant("parked_tick");
+            tx_parked.send(()).unwrap();
+            // Exits without recording again: the exit flush delivers it.
+            rx_go.recv().unwrap();
+        });
+        let buffer: Arc<ThreadBuffer> = rx_buffer.recv().unwrap();
+        {
+            let _exporter = buffer.ring.lock().unwrap();
+            tx_go.send(()).unwrap();
+            rx_parked.recv().unwrap();
+        }
+        // Parked on the worker, not in its ring: an export says so.
+        assert_eq!(dropped_events(), 1);
+        assert!(!chrome_trace_json().contains("parked_tick"));
+        tx_go.send(()).unwrap();
+        worker.join().unwrap();
+        stop();
+        assert_eq!(dropped_events(), 0);
+        let doc = chrome_trace_json();
+        clear();
+        assert!(doc.contains("parked_tick"), "{doc}");
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Worker-pool width for batched solves (0 = all cores).
     pub jobs: usize,
-    /// Micro-batch linger window for distinct concurrent misses.
+    /// Minimum spacing between solve-round starts; see
+    /// [`SolverConfig::batch_window`](crate::solver::SolverConfig::batch_window).
     pub batch_window: Duration,
     /// Bound on queued solve classes; sheds past ¾ of this.
     pub max_queue: usize,

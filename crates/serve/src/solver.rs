@@ -12,10 +12,12 @@
 //!    solving, this one just waits for that solve and shares the result
 //!    (`srv.coalesced`). One solve fans out to every waiter.
 //! 3. **Batch** — a genuinely new class is enqueued for the batcher
-//!    thread, which sleeps up to the batch window collecting more
-//!    distinct classes and then fans the whole batch over
+//!    thread, which drains the queue and fans every queued class over
 //!    [`defender_par::par_map`] as one round (`srv.batches`,
-//!    `srv.batch_size`).
+//!    `srv.batch_size`). At most one round starts per batch window: a
+//!    round starts at once when the last one started a window or more
+//!    ago, and otherwise lingers out the rest of the window so a burst
+//!    of distinct misses collects into one round (`srv.linger_ns`).
 //!
 //! Overload is governed at gate 3: the queue is bounded, new classes
 //! are shed with `429 + Retry-After` once depth crosses the watermark
@@ -38,12 +40,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use defender_cache::{CacheKey, EquilibriumCache};
 use defender_core::model::TupleGame;
 use defender_core::solve::ExactEquilibrium;
-use defender_graph::canonical::canonical_form;
+use defender_graph::canonical::{canonical_form, CanonicalForm};
 use defender_graph::graph6::from_graph6;
 use defender_graph::{Graph, VertexId};
 use defender_num::Ratio;
@@ -58,8 +60,10 @@ pub const TUPLE_LIMIT: usize = 100_000;
 /// Tunables for the solve path.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// How long the batcher waits for more distinct classes before
-    /// solving the round.
+    /// The minimum spacing between the starts of two solve rounds. A
+    /// miss on an idle solver starts its round at once; a miss that
+    /// arrives within this long of the last round's start waits out the
+    /// rest of the window, collecting other distinct classes with it.
     pub batch_window: Duration,
     /// Bound on queued (not yet solving) classes.
     pub max_queue: usize,
@@ -201,47 +205,21 @@ impl Solver {
         obs::counter!("cache.canon_ns").add(obs::trace::elapsed_ns().saturating_sub(t0));
         let key: CacheKey = (form.key(), game.k(), game.attacker_count());
 
-        if let Some(eq) = self.cache.probe(game, &form, TUPLE_LIMIT) {
-            obs::counter!("srv.hits").incr();
-            self.lock_served().insert(key);
-            return Ok(Served {
-                equilibrium: eq,
-                canonical: form.key(),
-                status: CacheStatus::Hit,
-            });
-        }
-
-        // Join or open the class's in-flight slot. Shedding applies only
-        // to *new* classes: joins ride a solve that is already paid for.
-        let (slot, status) = {
-            let mut inflight = self.lock_inflight();
-            match inflight.get(&key) {
-                Some(slot) => (Arc::clone(slot), CacheStatus::Coalesced),
-                None => {
-                    let depth = {
-                        let mut queue = self.lock_queue();
-                        if queue.len() >= self.shed_watermark() {
-                            obs::counter!("srv.shed").incr();
-                            return Err(HttpError {
-                                status: 429,
-                                kind: "Overloaded",
-                                message: format!(
-                                    "solve queue is at {} of {}; retry shortly",
-                                    queue.len(),
-                                    self.config.max_queue
-                                ),
-                            });
-                        }
-                        queue.push_back(key.clone());
-                        queue.len()
-                    };
-                    obs::gauge!("srv.queue_depth").set_max(depth as u64);
-                    let slot = InFlight::new();
-                    inflight.insert(key.clone(), Arc::clone(&slot));
-                    self.queue_cv.notify_one();
-                    (slot, CacheStatus::Miss)
-                }
+        let admission = match self.cache.probe(game, &form, TUPLE_LIMIT) {
+            Some(eq) => Admission::Cached(eq),
+            None => self.join_or_enqueue(game, &form, &key)?,
+        };
+        let (slot, status) = match admission {
+            Admission::Cached(eq) => {
+                obs::counter!("srv.hits").incr();
+                self.lock_served().insert(key);
+                return Ok(Served {
+                    equilibrium: eq,
+                    canonical: form.key(),
+                    status: CacheStatus::Hit,
+                });
             }
+            Admission::Wait(slot, status) => (slot, status),
         };
         match status {
             CacheStatus::Miss => obs::counter!("srv.misses").incr(),
@@ -281,6 +259,54 @@ impl Solver {
         })
     }
 
+    /// Joins the class's in-flight slot or opens one and enqueues the
+    /// class. Shedding applies only to *new* classes: joins ride a solve
+    /// that is already paid for.
+    ///
+    /// A request whose probe missed can get here after its class's solve
+    /// resolved and left the in-flight table, so the memo is checked
+    /// again before a new slot opens; otherwise the class would be
+    /// queued and solved a second time. The batcher stores a class in
+    /// the cache before it takes the in-flight lock to resolve the slot,
+    /// and never holds the cache lock while taking the in-flight lock,
+    /// so the probe under this lock is both sufficient and deadlock-free.
+    fn join_or_enqueue(
+        &self,
+        game: &TupleGame<'_>,
+        form: &CanonicalForm,
+        key: &CacheKey,
+    ) -> Result<Admission, HttpError> {
+        let mut inflight = self.lock_inflight();
+        if let Some(slot) = inflight.get(key) {
+            return Ok(Admission::Wait(Arc::clone(slot), CacheStatus::Coalesced));
+        }
+        if let Some(eq) = self.cache.probe(game, form, TUPLE_LIMIT) {
+            return Ok(Admission::Cached(eq));
+        }
+        let depth = {
+            let mut queue = self.lock_queue();
+            if queue.len() >= self.shed_watermark() {
+                obs::counter!("srv.shed").incr();
+                return Err(HttpError {
+                    status: 429,
+                    kind: "Overloaded",
+                    message: format!(
+                        "solve queue is at {} of {}; retry shortly",
+                        queue.len(),
+                        self.config.max_queue
+                    ),
+                });
+            }
+            queue.push_back(key.clone());
+            queue.len()
+        };
+        obs::gauge!("srv.queue_depth").set_max(depth as u64);
+        let slot = InFlight::new();
+        inflight.insert(key.clone(), Arc::clone(&slot));
+        self.queue_cv.notify_one();
+        Ok(Admission::Wait(slot, CacheStatus::Miss))
+    }
+
     /// The warmth/jobs-invariant judged counters: `Σ` of stored solve
     /// deltas over every class this process has served (see module docs).
     pub fn judged_counters(&self) -> Vec<(String, u64)> {
@@ -297,10 +323,12 @@ impl Solver {
         (self.config.max_queue * 3 / 4).max(1)
     }
 
-    /// The batcher: sleep until work arrives, linger one batch window to
-    /// coalesce more distinct classes into the round, then fan the round
-    /// over the worker pool.
+    /// The batcher: sleep until work arrives, linger out whatever is left
+    /// of the batch window since the last round started (nothing, when
+    /// that was a window or more ago), then fan every queued class over
+    /// the worker pool as one round.
     fn batch_loop(&self) {
+        let mut last_round: Option<Instant> = None;
         loop {
             let mut queue = self.lock_queue();
             while queue.is_empty() && !self.stop.load(Ordering::Acquire) {
@@ -314,8 +342,22 @@ impl Solver {
             }
             drop(queue);
 
-            // Linger: let concurrent distinct misses join this round.
-            std::thread::sleep(self.config.batch_window);
+            // Linger only if a round started within the window: a lone
+            // miss on an idle solver starts at once, while a burst right
+            // behind a round collects into the next one.
+            let linger = last_round.map_or(Duration::ZERO, |start| {
+                self.config.batch_window.saturating_sub(start.elapsed())
+            });
+            let lingered = if linger.is_zero() {
+                Duration::ZERO
+            } else {
+                let t0 = Instant::now();
+                std::thread::sleep(linger);
+                t0.elapsed()
+            };
+            obs::histogram!("srv.linger_ns")
+                .record(u64::try_from(lingered.as_nanos()).unwrap_or(u64::MAX));
+            last_round = Some(Instant::now());
 
             let batch: Vec<CacheKey> = {
                 let mut queue = self.lock_queue();
@@ -383,6 +425,14 @@ impl Solver {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+}
+
+/// What [`Solver::join_or_enqueue`] decided for a class whose probe missed.
+enum Admission {
+    /// The class was solved meanwhile: serve it from the memo.
+    Cached(ExactEquilibrium),
+    /// Wait on this in-flight slot (a new `Miss` or a `Coalesced` join).
+    Wait(Arc<InFlight>, CacheStatus),
 }
 
 impl Drop for Solver {
@@ -494,6 +544,130 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// Serves `graph` (k = 1, nu = 1) through `solver` and waits until its
+    /// round has run, so the solver's batch window is armed. The solve's
+    /// own answer is not needed: under a tiny deadline it may expire
+    /// while the round still completes.
+    fn arm_window(solver: &Solver, graph: &Graph) {
+        let game = TupleGame::new(graph, 1, 1).unwrap();
+        let _ = solver.solve(&game);
+        for _ in 0..1000 {
+            if solver.served_classes() > 0 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("the arming round never completed");
+    }
+
+    fn linger_stat(snapshot: &obs::Snapshot) -> (u64, u64) {
+        snapshot
+            .histograms
+            .iter()
+            .find(|h| h.name == "srv.linger_ns")
+            .map_or((0, 0), |h| (h.count, h.sum))
+    }
+
+    #[test]
+    fn an_isolated_miss_on_an_idle_solver_does_not_wait_for_the_window() {
+        let _serial = serial();
+        obs::enable();
+        let cache = Arc::new(EquilibriumCache::in_memory());
+        let solver = Solver::start(
+            Arc::clone(&cache),
+            SolverConfig {
+                batch_window: Duration::from_secs(10),
+                ..SolverConfig::default()
+            },
+        );
+        let before = obs::snapshot();
+        let graph = generators::cycle(5);
+        let game = TupleGame::new(&graph, 1, 1).unwrap();
+        let t0 = Instant::now();
+        let served = solver.solve(&game).unwrap();
+        let elapsed = t0.elapsed();
+        let after = obs::snapshot();
+        assert_eq!(served.status, CacheStatus::Miss);
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "an isolated miss took {elapsed:?} under a 10 s window"
+        );
+        // The round was recorded as immediate: one linger sample, 0 ns.
+        let (count_before, sum_before) = linger_stat(&before);
+        assert_eq!(linger_stat(&after), (count_before + 1, sum_before));
+        solver.shutdown();
+    }
+
+    #[test]
+    fn a_class_right_behind_a_round_waits_for_the_window() {
+        let _serial = serial();
+        obs::enable();
+        let cache = Arc::new(EquilibriumCache::in_memory());
+        let solver = Solver::start(
+            Arc::clone(&cache),
+            SolverConfig {
+                batch_window: Duration::from_millis(300),
+                ..SolverConfig::default()
+            },
+        );
+        let first = generators::cycle(5);
+        let game = TupleGame::new(&first, 1, 1).unwrap();
+        assert_eq!(solver.solve(&game).unwrap().status, CacheStatus::Miss);
+
+        let before = obs::snapshot();
+        let second = generators::path(5);
+        let game = TupleGame::new(&second, 1, 1).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(solver.solve(&game).unwrap().status, CacheStatus::Miss);
+        let elapsed = t0.elapsed();
+        let after = obs::snapshot();
+        assert!(
+            elapsed >= Duration::from_millis(150),
+            "a distinct class right behind a round answered in {elapsed:?}; \
+             it must wait out the rest of the 300 ms window"
+        );
+        let (count_before, sum_before) = linger_stat(&before);
+        let (count_after, sum_after) = linger_stat(&after);
+        assert_eq!(count_after, count_before + 1);
+        assert!(
+            sum_after - sum_before >= 150_000_000,
+            "srv.linger_ns recorded {} ns",
+            sum_after - sum_before
+        );
+        solver.shutdown();
+    }
+
+    #[test]
+    fn a_miss_that_races_the_resolve_is_served_from_the_memo() {
+        let _serial = serial();
+        obs::enable();
+        let cache = Arc::new(EquilibriumCache::in_memory());
+        let graph = generators::petersen();
+        let game = TupleGame::new(&graph, 1, 1).unwrap();
+        cache.solve(&game, TUPLE_LIMIT).unwrap();
+        let solver = Solver::start(Arc::clone(&cache), SolverConfig::default());
+
+        // The state a request sees when its probe missed just before the
+        // class's solve resolved: the class is cached and has no
+        // in-flight slot any more.
+        let form = canonical_form(&graph);
+        let key: CacheKey = (form.key(), 1, 1);
+        let before = obs::snapshot();
+        let admission = solver.join_or_enqueue(&game, &form, &key).unwrap();
+        let after = obs::snapshot();
+        assert!(
+            matches!(admission, Admission::Cached(_)),
+            "a cached class must be served as a hit, not queued again"
+        );
+        assert!(solver.lock_queue().is_empty());
+        assert!(solver.lock_inflight().is_empty());
+        assert_eq!(
+            after.counter("srv.misses").unwrap_or(0),
+            before.counter("srv.misses").unwrap_or(0)
+        );
+        solver.shutdown();
+    }
+
     #[test]
     fn coalesces_concurrent_identical_classes_into_one_solve() {
         let _serial = serial();
@@ -560,6 +734,9 @@ mod tests {
                 deadline: Duration::from_secs(30),
             },
         );
+        // Serve one fresh class first: its round arms the window, so the
+        // classes queued next wait for the rest of it.
+        arm_window(&solver, &generators::complete(4));
 
         // Fill the queue with distinct fresh classes from background
         // threads (they block awaiting the slow batch round).
@@ -681,6 +858,9 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
+        // Arm the window with one served class, so the next class waits
+        // for the rest of it and outlives the 1 ms deadline.
+        arm_window(&solver2, &generators::path(4));
         let graph = generators::complete(4);
         let game = TupleGame::new(&graph, 1, 1).unwrap();
         let err = solver2.solve(&game).unwrap_err();

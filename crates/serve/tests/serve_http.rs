@@ -139,6 +139,29 @@ fn keep_alive_hits_do_not_stall_on_the_wire() {
     );
 }
 
+/// An absolute floor in the same spirit: a cold miss on an idle server
+/// starts its solve round at once, so even a 10 s batch window must not
+/// delay it. C5 solves in well under a millisecond; 1 s trips only on a
+/// round that waits out the window.
+#[test]
+fn a_cold_miss_does_not_wait_out_the_batch_window() {
+    let _serial = serial();
+    let server = test_server(ServeConfig {
+        batch_window: Duration::from_secs(10),
+        ..ServeConfig::default()
+    });
+    let mut client = connect(&server);
+    let t0 = Instant::now();
+    let response = client.solve(&c5_body()).expect("cold solve");
+    let elapsed = t0.elapsed();
+    assert_eq!(response.status, 200, "{}", response.text());
+    assert_eq!(str_of(&parse(&response.body), "cache"), "miss");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "a cold miss took {elapsed:?} on a server with a 10 s batch window"
+    );
+}
+
 #[test]
 fn typed_errors_cross_the_wire() {
     let _serial = serial();
@@ -320,8 +343,10 @@ fn concurrent_identical_requests_coalesce_to_one_cache_miss() {
     let _serial = serial();
     defender_obs::enable();
     let server = test_server(ServeConfig {
-        // A generous window so every racer lands while the class is
-        // still in flight.
+        // The window does not hold the racers: the first one's round
+        // starts at once, and each later racer joins the in-flight slot
+        // or, once the solve resolved, is served from the memo. One
+        // request leads the class whatever the window.
         batch_window: Duration::from_millis(100),
         ..ServeConfig::default()
     });
